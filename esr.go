@@ -16,6 +16,9 @@
 //     maximum number of concurrent-update "inconsistency units" the
 //     query may import.  ε = 0 yields strictly serializable reads;
 //     higher ε trades bounded staleness for latency and availability.
+//   - Read serves a read at a per-query consistency level (strong,
+//     bounded staleness, session or eventual) chosen in ReadOptions;
+//     Session.Read adds read-your-writes and monotonic reads.
 //
 // Four replica-control methods from the paper are available — ORDUP
 // (ordered updates), COMMU (commutative operations), RITU
@@ -31,6 +34,8 @@
 //	c.Update(1, esr.Inc("balance", 100))
 //	res, _ := c.Query(2, []string{"balance"}, esr.Epsilon(1))
 //	fmt.Println(res.Value("balance"), "±", res.Inconsistency, "updates")
+//	strong, _ := c.Read(2, []string{"balance"}, esr.ReadOptions{Level: esr.LevelStrong})
+//	fmt.Println(strong.Value("balance"), "timed out:", strong.TimedOut)
 package esr
 
 import (
@@ -41,7 +46,6 @@ import (
 	"time"
 
 	"esr/internal/clock"
-	"esr/internal/commu"
 	"esr/internal/compe"
 	"esr/internal/consistency"
 	"esr/internal/core"
@@ -50,7 +54,6 @@ import (
 	"esr/internal/metrics"
 	"esr/internal/network"
 	"esr/internal/op"
-	"esr/internal/ritu"
 	"esr/internal/session"
 	"esr/internal/sim"
 	"esr/internal/trace"
@@ -210,14 +213,6 @@ type Config struct {
 	// Zero keeps the default (16); 1 restores a single global lock
 	// table.
 	LockStripes int
-	// Consistency is the default level Read serves when the caller does
-	// not pick one: "strong", "bounded", "session" or "eventual" (the
-	// default).
-	Consistency string
-	// MaxStaleness is the bounded level's Δt: a bounded read proceeds
-	// only while the local replica's staleness is at most this bound
-	// (default 5s).
-	MaxStaleness time.Duration
 	// Shards partitions the keyspace into this many independent
 	// ordering domains (ORDUP methods only): each shard runs its own
 	// sequencer, stable queues and write-ahead journals, so updates
@@ -229,10 +224,9 @@ type Config struct {
 
 // Cluster is a replicated system running one replica-control method.
 type Cluster struct {
-	eng      core.Engine
-	method   Method
-	msrv     *metrics.Server
-	readOpts core.ReadOptions // defaults for Read, from Config
+	eng    core.Engine
+	method Method
+	msrv   *metrics.Server
 }
 
 // Errors returned by method-specific interfaces.
@@ -240,18 +234,9 @@ var (
 	// ErrNotCompensating is returned by Begin/Commit/Abort on clusters
 	// whose method is not COMPE.
 	ErrNotCompensating = errors.New("esr: saga interface requires the COMPE method")
-	// ErrSpecUnsupported is returned by QuerySpec on methods without
-	// per-object ε support.
-	ErrSpecUnsupported = errors.New("esr: per-object ε requires ORDUP or COMMU")
-	// ErrNumericUnsupported is returned by QueryNumeric on methods
-	// without value-bounded queries.
-	ErrNumericUnsupported = errors.New("esr: numeric drift bounds require COMMU")
 	// ErrRestartUnsupported is returned by CrashSite/RestartSite on
 	// methods without WAL-based site recovery.
 	ErrRestartUnsupported = errors.New("esr: site crash/restart requires ORDUP, COMMU or RITU")
-	// ErrHistoricalUnsupported is returned by QueryAt on methods other
-	// than RITU multi-version.
-	ErrHistoricalUnsupported = errors.New("esr: historical queries require RITU multi-version")
 )
 
 // Open builds and starts a cluster.
@@ -282,13 +267,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	level, err := consistency.Parse(cfg.Consistency)
-	if err != nil {
-		_ = eng.Close()
-		return nil, err
-	}
-	c := &Cluster{eng: eng, method: cfg.Method,
-		readOpts: core.ReadOptions{Level: level, MaxStaleness: cfg.MaxStaleness}}
+	c := &Cluster{eng: eng, method: cfg.Method}
 	if cfg.MetricsAddr != "" {
 		ring := eng.Cluster().Trace
 		srv, err := metrics.Serve(cfg.MetricsAddr, metrics.ServeOptions{
@@ -343,25 +322,13 @@ func (c *Cluster) Query(site int, objects []string, eps Limit) (Result, error) {
 	return c.eng.Query(clock.SiteID(site), objects, eps)
 }
 
-// Read serves a read at the cluster's default consistency level
-// (Config.Consistency) from the site's local replica, entirely
-// lock-free: the level picks a snapshot timestamp, the SAFETIME
-// watermark parks reads the replica cannot yet serve, and the
-// multi-version store answers them.
-func (c *Cluster) Read(site int, objects ...string) (Result, error) {
-	return core.ReadAtSite(c.eng.Cluster(), clock.SiteID(site), objects, c.readOpts)
-}
-
-// ReadLevel is Read at an explicit consistency level.
-func (c *Cluster) ReadLevel(site int, level Level, objects ...string) (Result, error) {
-	opts := c.readOpts
-	opts.Level = level
-	return core.ReadAtSite(c.eng.Cluster(), clock.SiteID(site), objects, opts)
-}
-
-// ReadWith is Read with full per-query options (ε budget, Δt bound,
-// session high-water mark, gate timeout).
-func (c *Cluster) ReadWith(site int, objects []string, opts ReadOptions) (Result, error) {
+// Read serves a read at the consistency level opts.Level from the site's
+// local replica, entirely lock-free: the level picks a snapshot
+// timestamp, the SAFETIME watermark parks reads the replica cannot yet
+// serve, and the multi-version store answers them.  The zero opts is an
+// eventual read.  A gate that gives up after opts.WaitTimeout serves
+// what the site has and sets Result.TimedOut.
+func (c *Cluster) Read(site int, objects []string, opts ReadOptions) (Result, error) {
 	return core.ReadAtSite(c.eng.Cluster(), clock.SiteID(site), objects, opts)
 }
 
@@ -406,39 +373,6 @@ func (c *Cluster) GCVersions() int {
 		}
 	}
 	return n
-}
-
-// Spec is a per-object ε specification: different objects may tolerate
-// different inconsistency (spatial consistency).
-type Spec = divergence.Spec
-
-// QuerySpec executes a query ET under a per-object ε specification.
-// Available under ORDUP and COMMU; other methods return
-// ErrSpecUnsupported.
-func (c *Cluster) QuerySpec(site int, objects []string, spec Spec) (Result, error) {
-	type specQuerier interface {
-		QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error)
-	}
-	sq, ok := c.eng.(specQuerier)
-	if !ok {
-		return Result{}, ErrSpecUnsupported
-	}
-	return sq.QuerySpec(clock.SiteID(site), objects, spec)
-}
-
-// NumericResult reports a value-bounded query: Drift is the absolute
-// numeric change the reads may be missing, never exceeding the bound.
-type NumericResult = commu.NumericResult
-
-// QueryNumeric executes a query whose divergence bound is expressed in
-// value units rather than update counts (COMMU only): the reads may
-// collectively miss at most maxDrift of absolute numeric change.
-func (c *Cluster) QueryNumeric(site int, objects []string, maxDrift int64) (NumericResult, error) {
-	ce, ok := c.eng.(*commu.Engine)
-	if !ok {
-		return NumericResult{}, ErrNumericUnsupported
-	}
-	return ce.QueryNumeric(clock.SiteID(site), objects, maxDrift)
 }
 
 // Begin starts a tentative (saga-style) update ET under COMPE: it
@@ -544,18 +478,6 @@ func (c *Cluster) Heal() {
 // Timestamp is a logical version timestamp (RITU multi-version).
 type Timestamp = clock.Timestamp
 
-// QueryAt executes a historical query under RITU multi-version: every
-// object reads as of the given timestamp — a serializable snapshot of
-// the past that never blocks ("queries that are serialized in the past
-// do not block", §5.2).
-func (c *Cluster) QueryAt(site int, objects []string, ts Timestamp) (Result, error) {
-	re, ok := c.eng.(*ritu.Engine)
-	if !ok {
-		return Result{}, ErrHistoricalUnsupported
-	}
-	return re.QueryAt(clock.SiteID(site), objects, ts)
-}
-
 // Session provides per-client ordering guarantees (read-your-writes and
 // monotonic reads) over the cluster, layered on ESR's bounded
 // inconsistency.  Create one per logical client with NewSession.
@@ -577,13 +499,6 @@ func (c *Cluster) NewSession() (*Session, error) {
 // read-your-writes guarantee.
 func (s *Session) Update(origin int, ops ...Op) (TxID, error) {
 	return s.s.Update(clock.SiteID(origin), ops)
-}
-
-// Query executes a query ET after establishing the session's guarantees
-// at the site: it never misses this session's own writes and never reads
-// backwards relative to this session's previous reads.
-func (s *Session) Query(site int, objects []string, eps Limit) (Result, error) {
-	return s.s.Query(clock.SiteID(site), objects, eps)
 }
 
 // Read serves a session-consistency read through the unified read path:

@@ -205,62 +205,6 @@ func TestLossyNetworkStillConverges(t *testing.T) {
 	}
 }
 
-func TestQuerySpecPerObjectBudgets(t *testing.T) {
-	c := open(t, Config{Replicas: 2, Method: COMMU, Seed: 9})
-	c.Partition([]int{1}, []int{2})
-	// Strand one update per object in transit to site 2.
-	if _, err := c.Update(1, Inc("critical", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Update(1, Inc("loose", 1)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	res, err := c.QuerySpec(2, []string{"critical", "loose"}, Spec{
-		Default:   Unlimited,
-		PerObject: map[string]Limit{"critical": 0},
-	})
-	if err != nil {
-		t.Fatalf("QuerySpec: %v", err)
-	}
-	// loose pays 1 unit; critical takes the conservative path at 0.
-	if res.Inconsistency != 1 {
-		t.Errorf("Inconsistency = %d, want 1", res.Inconsistency)
-	}
-	c.Heal()
-	if err := c.Quiesce(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuerySpecUnsupported(t *testing.T) {
-	c := open(t, Config{Replicas: 2, Method: RITU, Seed: 1})
-	if _, err := c.QuerySpec(1, []string{"x"}, Spec{}); !errors.Is(err, ErrSpecUnsupported) {
-		t.Errorf("QuerySpec on RITU = %v", err)
-	}
-}
-
-func TestQueryNumericFacade(t *testing.T) {
-	c := open(t, Config{Replicas: 2, Method: COMMU, Seed: 10})
-	if _, err := c.Update(1, Inc("x", 50)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.QueryNumeric(2, []string{"x"}, 100)
-	if err != nil {
-		t.Fatalf("QueryNumeric: %v", err)
-	}
-	if res.Values["x"].Num != 50 || res.Drift != 0 {
-		t.Errorf("numeric query = %+v", res)
-	}
-	c2 := open(t, Config{Replicas: 2, Method: ORDUP, Seed: 1})
-	if _, err := c2.QueryNumeric(1, []string{"x"}, 1); !errors.Is(err, ErrNumericUnsupported) {
-		t.Errorf("QueryNumeric on ORDUP = %v", err)
-	}
-}
-
 func TestSiteCrashRecovery(t *testing.T) {
 	for _, m := range []Method{COMMU, ORDUP, RITU, RITUMultiVersion} {
 		m := m
@@ -372,9 +316,9 @@ func TestSessionFacade(t *testing.T) {
 	if _, err := s.Update(1, Inc("x", 9)); err != nil {
 		t.Fatalf("session Update: %v", err)
 	}
-	res, err := s.Query(3, []string{"x"}, Unlimited)
+	res, err := s.Read(3, "x")
 	if err != nil {
-		t.Fatalf("session Query: %v", err)
+		t.Fatalf("session Read: %v", err)
 	}
 	if res.Value("x").Num != 9 {
 		t.Errorf("session read %v before its own write", res.Value("x"))
@@ -383,35 +327,6 @@ func TestSessionFacade(t *testing.T) {
 	c2 := open(t, Config{Replicas: 2, Method: TwoPC, Seed: 1})
 	if _, err := c2.NewSession(); err == nil {
 		t.Errorf("NewSession on 2PC should fail")
-	}
-}
-
-func TestQueryAtFacade(t *testing.T) {
-	c := open(t, Config{Replicas: 2, Method: RITUMultiVersion, Seed: 15})
-	if _, err := c.Update(1, Write("doc", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	vs := c.Engine().Cluster().Site(2).MV.Versions("doc")
-	firstTS := vs[0].TS
-	if _, err := c.Update(1, Write("doc", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.QueryAt(2, []string{"doc"}, firstTS)
-	if err != nil {
-		t.Fatalf("QueryAt: %v", err)
-	}
-	if res.Value("doc").Num != 1 {
-		t.Errorf("historical read = %v, want 1", res.Value("doc"))
-	}
-	c2 := open(t, Config{Replicas: 2, Method: COMMU, Seed: 1})
-	if _, err := c2.QueryAt(1, []string{"doc"}, Timestamp{}); !errors.Is(err, ErrHistoricalUnsupported) {
-		t.Errorf("QueryAt on COMMU = %v", err)
 	}
 }
 

@@ -70,23 +70,3 @@ func ExampleCluster_Begin() {
 	fmt.Println("seats after aborted reservation:", cluster.Value(2, "seats"))
 	// Output: seats after aborted reservation: 0
 }
-
-// ExampleCluster_QuerySpec gives the hot object a stricter bound than
-// the rest of the keyspace.
-func ExampleCluster_QuerySpec() {
-	cluster, err := esr.Open(esr.Config{Replicas: 2, Method: esr.COMMU, Seed: 4})
-	if err != nil {
-		panic(err)
-	}
-	defer cluster.Close()
-
-	cluster.Update(1, esr.Inc("hot", 1), esr.Inc("cold", 1))
-	cluster.Quiesce(10 * time.Second)
-
-	res, _ := cluster.QuerySpec(2, []string{"hot", "cold"}, esr.Spec{
-		Default:   esr.Unlimited,
-		PerObject: map[string]esr.Limit{"hot": esr.Epsilon(0)},
-	})
-	fmt.Println(res.Value("hot"), res.Value("cold"), res.Inconsistency)
-	// Output: 1 1 0
-}

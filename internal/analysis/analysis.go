@@ -51,8 +51,8 @@
 //	                       Send, Call, ...) must be consumed, not
 //	                       discarded with _ or an ignored return.
 //	A11 querylock        — query-path functions (engine Query* methods,
-//	                       the core read/query helpers, and everything
-//	                       they reach in the static call graph) must
+//	                       core.ReadAtSite, and everything they reach
+//	                       in the static call graph) must
 //	                       never acquire lock.Manager locks: the unified
 //	                       read path serves queries from lock-free
 //	                       snapshots gated by SAFETIME watermarks.  The

@@ -124,10 +124,18 @@ func New(cfg Config) (*Engine, error) {
 		inflight: make(map[et.ID]*flight),
 		perObj:   make(map[string]map[et.ID]bool),
 	}
+	c.SetPricer(e.price)
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
 		return func(m et.MSet) error { return e.apply(s, m) }
 	})
 	return e, nil
+}
+
+// price is COMMU's read-pricing rule: committed-but-invisible update
+// ETs on the object (including MSets still in transit to the site) plus
+// update ETs applied there since the query began.
+func (e *Engine) price(s *replica.Site, obj string, baseline uint64) int {
+	return e.invisibleAt(s.ID, obj) + int(s.Epoch(obj)-baseline)
 }
 
 // Name implements core.Engine.
@@ -391,27 +399,18 @@ func (e *Engine) CounterValue(object string) int {
 
 // Query executes a query ET at the given site under an ε limit.  Reads
 // are priced by the object's lock-counter plus the query's overlap; past
-// ε the query takes RU locks, serializing against in-flight appliers
-// ("the only way to make query ETs SR is to put them at the beginning or
-// at the end", §3.2).
+// ε a read waits out the object's unapplied updates, serializing behind
+// in-flight appliers ("the only way to make query ETs SR is to put them
+// at the beginning or at the end", §3.2).
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
-	return core.QueryAtSite(e.c, site, objects, eps,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			// Committed-but-invisible updates (including MSets still in
-			// transit to this site) plus update ETs applied here since
-			// the query began.
-			return e.invisibleAt(s.ID, obj) + int(s.Epoch(obj)-baseline)
-		})
+	return core.ReadAtSite(e.c, site, objects, core.QueryOptions(eps))
 }
 
 // QuerySpec executes a query ET under a per-object ε specification
 // (spatial consistency): each object's read is bounded by its own
 // budget.
 func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error) {
-	return core.QueryAtSiteSpec(e.c, site, objects, spec,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			return e.invisibleAt(s.ID, obj) + int(s.Epoch(obj)-baseline)
-		})
+	return core.ReadAtSite(e.c, site, objects, core.SpecOptions(spec))
 }
 
 // CrashSite simulates a site failure on a durable cluster.

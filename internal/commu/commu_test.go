@@ -368,3 +368,31 @@ func TestQueryNumericUnknownSite(t *testing.T) {
 		t.Errorf("unknown site must fail")
 	}
 }
+
+// TestQuerySpecPerObjectBudgets: under a per-object ε spec, one object's
+// strict budget sends only that object down the conservative path while
+// the loose object imports its in-transit update.
+func TestQuerySpecPerObjectBudgets(t *testing.T) {
+	e := newEngine(t, 2, network.Config{Seed: 9}, 0)
+	c := e.Cluster()
+	c.Net.Partition([]clock.SiteID{1, core.SequencerSite}, []clock.SiteID{2})
+	// Strand one update per object in transit to site 2.
+	e.Update(1, []op.Op{op.IncOp("critical", 1)})
+	e.Update(1, []op.Op{op.IncOp("loose", 1)})
+	res, err := e.QuerySpec(2, []string{"critical", "loose"}, divergence.Spec{
+		Default:   divergence.Unlimited,
+		PerObject: map[string]divergence.Limit{"critical": 0},
+	})
+	if err != nil {
+		t.Fatalf("QuerySpec: %v", err)
+	}
+	// loose pays 1 unit; critical takes the conservative path at 0.
+	if res.Inconsistency != 1 {
+		t.Errorf("Inconsistency = %d, want 1", res.Inconsistency)
+	}
+	if res.Epsilon != divergence.Unlimited {
+		t.Errorf("Epsilon = %v, want ∞ (loose is unbounded)", res.Epsilon)
+	}
+	c.Net.Heal()
+	quiesce(t, e)
+}

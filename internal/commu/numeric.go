@@ -1,12 +1,11 @@
 package commu
 
 import (
-	"fmt"
-	"sort"
-
 	"esr/internal/clock"
-	"esr/internal/consistency"
+	"esr/internal/core"
+	"esr/internal/divergence"
 	"esr/internal/op"
+	"esr/internal/replica"
 )
 
 // NumericResult is what a value-bounded query returns.
@@ -25,7 +24,8 @@ type NumericResult struct {
 
 // QueryNumeric executes a query ET whose divergence bound is expressed
 // in *value* units instead of update counts: the reads may collectively
-// miss at most maxDrift of absolute numeric change.
+// miss at most maxDrift of absolute numeric change (a negative maxDrift
+// is treated as zero).
 //
 // The paper's §5.1 survey calls this spatial consistency "limiting the
 // data value changed asynchronously" (Sheth & Rusinkiewicz) and
@@ -33,32 +33,17 @@ type NumericResult struct {
 // notes that "in order to implement the other spatial consistency
 // criteria, replica control methods would need to explicitly include
 // these factors" — this method is that inclusion for COMMU, and the
-// same idea later became TACT's numerical error.  Reads whose pending
-// drift would exceed the budget take the conservative path: they drain
-// the object's pending updates (WaitDrained) and re-read, lock-free,
-// exactly like ε-exhausted reads on the unified read path.
+// same idea later became TACT's numerical error.  It is the shared ε
+// read loop priced in drift: reads whose pending drift would exceed the
+// budget drain the object's pending updates and re-read, exactly like
+// ε-exhausted reads of an ordinary query.
 func (e *Engine) QueryNumeric(site clock.SiteID, objects []string, maxDrift int64) (NumericResult, error) {
-	s := e.c.Site(site)
-	if s == nil {
-		return NumericResult{}, fmt.Errorf("commu: unknown site %v", site)
+	res, err := core.ReadAtSite(e.c, site, objects, core.PricedOptions(divergence.Limit(max(maxDrift, 0)),
+		func(s *replica.Site, obj string, _ uint64) int { return int(e.invisibleDriftAt(s.ID, obj)) }))
+	if err != nil {
+		return NumericResult{}, err
 	}
-	qid := e.c.NextET(site)
-	sorted := append([]string(nil), objects...)
-	sort.Strings(sorted)
-	vals := make(map[string]op.Value, len(sorted))
-	var spent int64
-	for _, obj := range sorted {
-		cost := e.invisibleDriftAt(site, obj)
-		if spent+cost > maxDrift {
-			// Conservative: drain the drift away instead of importing it.
-			_ = s.WaitDrained(obj, consistency.DefaultWaitTimeout)
-		} else {
-			spent += cost
-		}
-		vals[obj] = s.Store.Get(obj)
-		e.c.RecordQueryRead(qid, obj)
-	}
-	return NumericResult{Values: vals, Drift: spent, MaxDrift: maxDrift, Site: site}, nil
+	return NumericResult{Values: res.Values, Drift: int64(res.Inconsistency), MaxDrift: maxDrift, Site: site}, nil
 }
 
 // invisibleDriftAt sums the absolute additive deltas of in-flight update

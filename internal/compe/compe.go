@@ -149,6 +149,7 @@ func New(cfg Config) (*Engine, error) {
 	for _, id := range c.SiteIDs() {
 		e.logs[id] = &siteLog{risk: make(map[string]int), nextSeq: 1, applied: make(map[et.ID]bool)}
 	}
+	c.SetPricer(e.price)
 	c.Setup(func(s *replica.Site) replica.ApplyFunc {
 		sl := e.logs[s.ID]
 		return func(m et.MSet) error { return e.apply(s, sl, m) }
@@ -430,22 +431,17 @@ func (e *Engine) resolve(id et.ID, to status) error {
 	return nil
 }
 
-// Query executes a query ET under an ε limit.  Reads are priced by their
-// overlap plus the number of unresolved tentative ETs that touched the
-// object here — the conservative "number of potential compensations"
-// bound of §4.2.
+// Query executes a query ET under an ε limit; reads are priced by the
+// engine's rule (see price).
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
-	sl := e.logs[site]
-	if sl == nil {
-		return et.QueryResult{}, fmt.Errorf("compe: unknown site %v", site)
-	}
-	return core.QueryAtSite(e.c, site, objects, eps,
-		func(s *replica.Site, obj string, baseline uint64) int {
-			sl.mu.Lock()
-			risk := sl.risk[obj]
-			sl.mu.Unlock()
-			return core.OverlapCost(s, obj, baseline) + risk
-		})
+	return core.ReadAtSite(e.c, site, objects, core.QueryOptions(eps))
+}
+
+// price is COMPE's read-pricing rule: the read's overlap plus the number
+// of unresolved tentative ETs that touched the object here — the
+// conservative "number of potential compensations" bound of §4.2.
+func (e *Engine) price(s *replica.Site, obj string, baseline uint64) int {
+	return core.OverlapCost(s, obj, baseline) + e.RiskAt(s.ID, obj)
 }
 
 // RiskAt reports the number of unresolved tentative ETs applied at the

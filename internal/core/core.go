@@ -214,6 +214,7 @@ type Cluster struct {
 	etCounter   map[clock.SiteID]*atomic.Uint64
 	msgCounter  map[clock.SiteID]*atomic.Uint64
 	activeQuery atomic.Int64 // in-flight query ETs (observability only)
+	pricer      Pricer       // the method's read-pricing rule (SetPricer)
 
 	// Replicated-sequencer machinery (Config.SeqReplicas > 0): locally
 	// hosted replicas by cluster-site ID and shard (guarded by siteMu

@@ -224,8 +224,9 @@ func TestCloseIsIdempotent(t *testing.T) {
 }
 
 func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
-	// With a zero budget and a pending update, QueryAtSite must take RU
-	// locks; a concurrent applier blocks rather than interleave.
+	// With a zero budget and a pending update, the query ET drains
+	// instead of importing the update; one held back past the wait
+	// timeout leaves the read unpriced and marked as timed out.
 	var gate atomic.Bool
 	c := newCluster(t, 1, network.Config{Seed: 1}, func(s *replica.Site) replica.ApplyFunc {
 		return func(m et.MSet) error {
@@ -241,12 +242,17 @@ func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
 	m := et.MSet{ET: c.NextET(1), Origin: 1, Ops: []op.Op{op.IncOp("x", 1)}}
 	c.Broadcast(m)
 	time.Sleep(time.Millisecond)
-	res, err := QueryAtSite(c, 1, []string{"x"}, 0, OverlapCost)
+	o := QueryOptions(0)
+	o.WaitTimeout = 50 * time.Millisecond
+	res, err := ReadAtSite(c, 1, []string{"x"}, o)
 	if err != nil {
-		t.Fatalf("QueryAtSite: %v", err)
+		t.Fatalf("ReadAtSite: %v", err)
 	}
 	if res.Inconsistency != 0 {
 		t.Errorf("ε=0 query reported %d", res.Inconsistency)
+	}
+	if !res.TimedOut {
+		t.Errorf("drain past the wait timeout not marked TimedOut")
 	}
 	gate.Store(true)
 	c.Site(1).Kick()
@@ -257,7 +263,7 @@ func TestQueryAtSiteConservativePathSerializes(t *testing.T) {
 
 func TestQueryAtSiteUnknownSite(t *testing.T) {
 	c := newCluster(t, 1, network.Config{Seed: 1}, nil)
-	if _, err := QueryAtSite(c, 9, []string{"x"}, divergence.Unlimited, OverlapCost); err == nil {
+	if _, err := ReadAtSite(c, 9, []string{"x"}, QueryOptions(divergence.Unlimited)); err == nil {
 		t.Errorf("unknown site must fail")
 	}
 }

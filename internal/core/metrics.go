@@ -23,8 +23,8 @@ import (
 )
 
 // SiteMetrics are the per-site, method-level instruments: the engines
-// (and the chassis' query helper) update them at commit, compensation
-// and query time.  Zero-value fields are no-ops, so an uninstrumented
+// (and the chassis' read loop, ReadAtSite) update them at commit,
+// compensation and query time.  Zero-value fields are no-ops, so an uninstrumented
 // cluster hands out a zero SiteMetrics and call sites never guard.
 type SiteMetrics struct {
 	// Commits counts update ETs committed at this origin site.
@@ -48,6 +48,7 @@ type SiteMetrics struct {
 
 	readStaleness [4]*metrics.Histogram // per-level esr_read_staleness_seconds
 	readDelayed   [4]*metrics.Counter   // per-level esr_read_delayed_total
+	gateTimeouts  [4]*metrics.Counter   // per-level esr_read_gate_timeouts_total
 	staleMax      atomic.Int64          // running max behind ReadStaleMax
 }
 
@@ -88,6 +89,13 @@ func (sm *SiteMetrics) ReadDelayed(l consistency.Level) *metrics.Counter {
 	return sm.readDelayed[levelIndex(l)]
 }
 
+// ReadGateTimeouts returns the site's counter of reads whose gate timed
+// out, for one consistency level (nil, a no-op, on uninstrumented
+// clusters).
+func (sm *SiteMetrics) ReadGateTimeouts(l consistency.Level) *metrics.Counter {
+	return sm.gateTimeouts[levelIndex(l)]
+}
+
 // clusterMetrics holds the cluster's resolved instruments plus the vecs
 // late joiners (WALs opened in Setup, restarted sites) resolve from.
 type clusterMetrics struct {
@@ -113,6 +121,7 @@ type clusterMetrics struct {
 	siteWatermark *metrics.GaugeVec
 	readStaleSec  *metrics.HistogramVec
 	readDelayed   *metrics.CounterVec
+	gateTimeouts  *metrics.CounterVec
 	readStaleMax  *metrics.GaugeVec
 
 	siteReceived    *metrics.CounterVec
@@ -175,6 +184,7 @@ func newClusterMetrics(reg *metrics.Registry, method string, sites int) *cluster
 		siteWatermark: reg.Gauge("esr_watermark", "Committed (applied) watermark — newest applied MSet timestamp at a site.", "site"),
 		readStaleSec:  reg.Histogram("esr_read_staleness_seconds", "Wall-clock replica staleness observed by consistency-level reads.", metrics.ScaleNanos, "site", "level"),
 		readDelayed:   reg.Counter("esr_read_delayed_total", "Reads parked on the SAFETIME delayed-read gate.", "site", "level"),
+		gateTimeouts:  reg.Counter("esr_read_gate_timeouts_total", "Reads served after a gate (drain, SAFETIME or staleness) timed out.", "site", "level"),
 		readStaleMax:  reg.Gauge("esr_read_staleness_max_nanos", "Worst read-observed staleness at a site, in nanoseconds.", "site"),
 
 		siteReceived:    reg.Counter("esr_site_received_total", "MSets accepted into a site's inbound queue.", "site"),
@@ -235,6 +245,7 @@ func (m *clusterMetrics) resolveSite(id clock.SiteID) {
 	for _, l := range consistency.Levels() {
 		sm.readStaleness[levelIndex(l)] = m.readStaleSec.With(s, l.String())
 		sm.readDelayed[levelIndex(l)] = m.readDelayed.With(s, l.String())
+		sm.gateTimeouts[levelIndex(l)] = m.gateTimeouts.With(s, l.String())
 	}
 	m.site[id] = sm
 }

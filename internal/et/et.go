@@ -208,8 +208,8 @@ type QueryResult struct {
 	Epsilon divergence.Limit
 	// Site is where the query executed.
 	Site clock.SiteID
-	// Level is the consistency level the read ran at (the unified read
-	// path sets it; legacy ε-only queries leave it at the zero level).
+	// Level is the consistency level the read ran at (ε query ETs run
+	// at the zero level, eventual, with their reads priced against ε).
 	Level consistency.Level
 	// SnapTS is the snapshot timestamp the read selected (zero for
 	// latest-local reads).
@@ -219,6 +219,10 @@ type QueryResult struct {
 	Staleness time.Duration
 	// Waited is how long the read parked on the delayed-read gate.
 	Waited time.Duration
+	// TimedOut reports that a gate (drain, SAFETIME or staleness) gave
+	// up after the read's wait timeout: the values are what the site
+	// had, which may fall short of Level or of the ε budget.
+	TimedOut bool
 }
 
 // Value returns the value read for one object (zero Value if the object

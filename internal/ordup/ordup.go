@@ -402,19 +402,20 @@ func (e *Engine) UpdateBurst(origin clock.SiteID, bursts [][]op.Op) ([]et.ID, er
 
 // Query executes a query ET at the given site under an ε limit.  Reads
 // are priced by their overlap with update ETs (§3.1's inconsistency
-// counter); past ε the query joins the global order via RU locks.
+// counter); past ε a read waits out the object's unapplied updates and
+// so joins the global order.
 func (e *Engine) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
 	if e.cfg.Scheduler == TimestampOrdering {
 		return e.queryTO(site, objects, eps)
 	}
-	return core.QueryAtSite(e.c, site, objects, eps, core.OverlapCost)
+	return core.ReadAtSite(e.c, site, objects, core.QueryOptions(eps))
 }
 
 // QuerySpec executes a query ET under a per-object ε specification
 // (spatial consistency): each object's read is bounded by its own
 // budget.
 func (e *Engine) QuerySpec(site clock.SiteID, objects []string, spec divergence.Spec) (et.QueryResult, error) {
-	return core.QueryAtSiteSpec(e.c, site, objects, spec, core.OverlapCost)
+	return core.ReadAtSite(e.c, site, objects, core.SpecOptions(spec))
 }
 
 // Outstanding reports the number of update ETs not yet applied at every

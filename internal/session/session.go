@@ -9,15 +9,15 @@
 // centric contract later systems built on exactly the asynchronous
 // propagation substrate this reproduction implements.
 //
-//   - Read-your-writes: before a session query runs at a site, the
+//   - Read-your-writes: before a session read runs at a site, the
 //     session waits (bounded) until every update it committed has been
 //     applied at that site.
 //   - Monotonic reads: the session remembers, per object, the highest
-//     update epoch it has observed; a query at any site waits until that
+//     update epoch it has observed; a read at any site waits until that
 //     site has applied at least as many updates to the object.
 //
-// Both guarantees apply per session; other clients' queries are
-// untouched and keep paying only their ε.
+// Both guarantees apply per session; other clients' reads are
+// untouched.
 package session
 
 import (
@@ -29,7 +29,6 @@ import (
 	"esr/internal/clock"
 	"esr/internal/consistency"
 	"esr/internal/core"
-	"esr/internal/divergence"
 	"esr/internal/et"
 	"esr/internal/op"
 )
@@ -54,7 +53,7 @@ var (
 
 // Config tunes a session.
 type Config struct {
-	// WaitTimeout bounds how long a query waits to establish its
+	// WaitTimeout bounds how long a read waits to establish its
 	// guarantees (default 5s).
 	WaitTimeout time.Duration
 	// ReadYourWrites enables the read-your-writes guarantee (default
@@ -113,42 +112,11 @@ func (s *S) Update(origin clock.SiteID, ops []op.Op) (et.ID, error) {
 	return id, nil
 }
 
-// Query executes a query ET with the session's guarantees established
-// at the chosen site first.
-func (s *S) Query(site clock.SiteID, objects []string, eps divergence.Limit) (et.QueryResult, error) {
-	deadline := time.Now().Add(s.cfg.WaitTimeout)
-	if s.cfg.ReadYourWrites {
-		if err := s.waitForWrites(site, deadline); err != nil {
-			return et.QueryResult{}, err
-		}
-	}
-	if s.cfg.MonotonicReads {
-		if err := s.waitForEpochs(site, objects, deadline); err != nil {
-			return et.QueryResult{}, err
-		}
-	}
-	res, err := s.eng.Query(site, objects, eps)
-	if err != nil {
-		return res, err
-	}
-	if s.cfg.MonotonicReads {
-		sp := s.eng.Cluster().Site(site)
-		s.mu.Lock()
-		for _, obj := range objects {
-			if ep := sp.Epoch(obj); ep > s.seenEpoch[obj] {
-				s.seenEpoch[obj] = ep
-			}
-		}
-		s.mu.Unlock()
-	}
-	return res, nil
-}
-
 // Read serves a session-consistency read through the unified read path
 // (core.ReadAtSite at the session level): the session's guarantees are
-// established at the site first — the same bounded waits Query uses —
-// and the lock-free snapshot read then runs against state that already
-// includes every session write.
+// established at the site first, with bounded waits, and the lock-free
+// snapshot read then runs against state that already includes every
+// session write.
 func (s *S) Read(site clock.SiteID, objects []string) (et.QueryResult, error) {
 	deadline := time.Now().Add(s.cfg.WaitTimeout)
 	if s.cfg.ReadYourWrites {
@@ -183,7 +151,7 @@ func (s *S) Read(site clock.SiteID, objects []string) (et.QueryResult, error) {
 
 // waitForWrites blocks until every recorded session write is applied at
 // the site.  Writes that have reached every replica are pruned from the
-// session's list — they can never block any future query.
+// session's list — they can never block any future read.
 func (s *S) waitForWrites(site clock.SiteID, deadline time.Time) error {
 	for {
 		s.mu.Lock()

@@ -7,7 +7,6 @@ import (
 
 	"esr/internal/clock"
 	"esr/internal/core"
-	"esr/internal/divergence"
 	"esr/internal/network"
 	"esr/internal/op"
 	"esr/internal/sim"
@@ -38,8 +37,8 @@ func TestUnsupportedEngine(t *testing.T) {
 	}
 }
 
-// TestReadYourWrites: with slow links, a bare query at a remote site
-// misses the session's fresh write, but a session query waits for it.
+// TestReadYourWrites: with slow links, a bare read at a remote site
+// misses the session's fresh write, but a session read waits for it.
 func TestReadYourWrites(t *testing.T) {
 	s, eng := newSession(t, sim.COMMU, network.Config{
 		Seed: 1, MinLatency: 3 * time.Millisecond, MaxLatency: 8 * time.Millisecond,
@@ -48,13 +47,13 @@ func TestReadYourWrites(t *testing.T) {
 		t.Fatalf("Update: %v", err)
 	}
 	// The bare engine query at site 3 would likely race propagation; the
-	// session query must always see the write.
-	res, err := s.Query(3, []string{"x"}, divergence.Unlimited)
+	// session read must always see the write.
+	res, err := s.Read(3, []string{"x"})
 	if err != nil {
-		t.Fatalf("Query: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	if res.Value("x").Num != 42 {
-		t.Fatalf("session query read %v before its own write", res.Value("x"))
+		t.Fatalf("session read read %v before its own write", res.Value("x"))
 	}
 	_ = eng
 }
@@ -74,9 +73,9 @@ func TestReadYourWritesEveryTrackedMethod(t *testing.T) {
 			if _, err := s.Update(1, []op.Op{o}); err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			res, err := s.Query(2, []string{"k"}, divergence.Unlimited)
+			res, err := s.Read(2, []string{"k"})
 			if err != nil {
-				t.Fatalf("Query: %v", err)
+				t.Fatalf("Read: %v", err)
 			}
 			if res.Value("k").Num != 7 {
 				t.Errorf("read %v, want own write 7", res.Value("k"))
@@ -101,12 +100,12 @@ func TestReadYourWritesTimesOutUnderPartition(t *testing.T) {
 	if _, err := s.Update(1, []op.Op{op.IncOp("x", 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(3, []string{"x"}, divergence.Unlimited); !errors.Is(err, ErrGuaranteeTimeout) {
-		t.Errorf("query at partitioned site = %v, want ErrGuaranteeTimeout", err)
+	if _, err := s.Read(3, []string{"x"}); !errors.Is(err, ErrGuaranteeTimeout) {
+		t.Errorf("read at partitioned site = %v, want ErrGuaranteeTimeout", err)
 	}
-	// The same-side query works immediately.
-	if _, err := s.Query(1, []string{"x"}, divergence.Unlimited); err != nil {
-		t.Errorf("same-side query: %v", err)
+	// The same-side read works immediately.
+	if _, err := s.Read(1, []string{"x"}); err != nil {
+		t.Errorf("same-side read: %v", err)
 	}
 	eng.Cluster().Net.Heal()
 	if err := eng.Cluster().Quiesce(10 * time.Second); err != nil {
@@ -115,7 +114,7 @@ func TestReadYourWritesTimesOutUnderPartition(t *testing.T) {
 }
 
 // TestMonotonicReads: after observing fresh state at one site, a session
-// query at a stale site waits instead of reading backwards in time.
+// read at a stale site waits instead of reading backwards in time.
 func TestMonotonicReads(t *testing.T) {
 	eng, err := sim.NewEngine(sim.COMMU, 3, network.Config{Seed: 4}, sim.Options{})
 	if err != nil {
@@ -138,30 +137,30 @@ func TestMonotonicReads(t *testing.T) {
 	for eng.Cluster().Site(1).Store.Get("x").Num != 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	res, err := s.Query(1, []string{"x"}, divergence.Unlimited)
+	res, err := s.Read(1, []string{"x"})
 	if err != nil || res.Value("x").Num != 5 {
 		t.Fatalf("first read = %v/%v", res.Value("x"), err)
 	}
-	// ... then queries stale site 3: it must wait for the heal rather
+	// ... then reads at stale site 3: it must wait for the heal rather
 	// than read the older state.
 	done := make(chan et_result, 1)
 	go func() {
-		r, err := s.Query(3, []string{"x"}, divergence.Unlimited)
+		r, err := s.Read(3, []string{"x"})
 		done <- et_result{r.Value("x").Num, err}
 	}()
 	select {
 	case r := <-done:
-		t.Fatalf("monotonic query returned early with %d/%v", r.num, r.err)
+		t.Fatalf("monotonic read returned early with %d/%v", r.num, r.err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	eng.Cluster().Net.Heal()
 	select {
 	case r := <-done:
 		if r.err != nil || r.num != 5 {
-			t.Fatalf("monotonic query = %d/%v, want 5", r.num, r.err)
+			t.Fatalf("monotonic read = %d/%v, want 5", r.num, r.err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("monotonic query never completed after heal")
+		t.Fatalf("monotonic read never completed after heal")
 	}
 	if err := eng.Cluster().Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func TestSessionListPruning(t *testing.T) {
 	if err := eng.Cluster().Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(2, []string{"x"}, divergence.Unlimited); err != nil {
+	if _, err := s.Read(2, []string{"x"}); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()

@@ -46,9 +46,9 @@ func TestReadLevelsEquivalence(t *testing.T) {
 					}
 				}
 				for _, lv := range []Level{LevelEventual, LevelSession, LevelBounded, LevelStrong} {
-					res, err := c.ReadLevel(site, lv, "x")
+					res, err := c.Read(site, []string{"x"}, ReadOptions{Level: lv})
 					if err != nil {
-						t.Fatalf("ReadLevel(%d, %v): %v", site, lv, err)
+						t.Fatalf("Read(%d, %v): %v", site, lv, err)
 					}
 					if got := res.Value("x"); got.Num != want.Num {
 						t.Errorf("site %d level %v: x = %v, want %v", site, lv, got, want)
@@ -86,7 +86,7 @@ func TestReadStrongMatchesCanonical(t *testing.T) {
 	}()
 	var last int64 = -1
 	for i := 0; i < 50; i++ {
-		res, err := c.ReadLevel(2, LevelStrong, "acct")
+		res, err := c.Read(2, []string{"acct"}, ReadOptions{Level: LevelStrong})
 		if err != nil {
 			t.Fatalf("strong read: %v", err)
 		}
@@ -102,7 +102,7 @@ func TestReadStrongMatchesCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Value(2, "acct")
-	res, err := c.ReadLevel(2, LevelStrong, "acct")
+	res, err := c.Read(2, []string{"acct"}, ReadOptions{Level: LevelStrong})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,14 @@ func TestReadStrongMatchesCanonical(t *testing.T) {
 // snapshot value is a real committed state.
 func TestReadBoundedStaleness(t *testing.T) {
 	const dt = 250 * time.Millisecond
-	c := open(t, Config{Replicas: 3, Method: COMMU, Seed: 23, MaxStaleness: dt})
+	c := open(t, Config{Replicas: 3, Method: COMMU, Seed: 23})
 	for i := 0; i < 10; i++ {
 		if _, err := c.Update(1, Inc("x", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i++ {
-		res, err := c.ReadWith(2, []string{"x"}, ReadOptions{Level: LevelBounded, MaxStaleness: dt})
+		res, err := c.Read(2, []string{"x"}, ReadOptions{Level: LevelBounded, MaxStaleness: dt})
 		if err != nil {
 			t.Fatalf("bounded read: %v", err)
 		}
@@ -137,35 +137,12 @@ func TestReadBoundedStaleness(t *testing.T) {
 	if err := c.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Read(2, "x") // Config default is eventual unless set
+	res, err := c.Read(2, []string{"x"}, ReadOptions{}) // the zero options read eventual
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Value("x").Num; got != 10 {
 		t.Errorf("post-quiesce read = %d, want 10", got)
-	}
-}
-
-// TestReadDefaultLevelFromConfig checks that Config.Consistency selects
-// the level Cluster.Read serves, and that an unknown spelling fails
-// Open.
-func TestReadDefaultLevelFromConfig(t *testing.T) {
-	c := open(t, Config{Replicas: 2, Method: COMMU, Seed: 24, Consistency: "bounded-staleness"})
-	if _, err := c.Update(1, Inc("x", 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Read(2, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != LevelBounded {
-		t.Errorf("default-level read served %v, want %v", res.Level, LevelBounded)
-	}
-	if _, err := Open(Config{Replicas: 2, Method: COMMU, Consistency: "read-committed"}); err == nil {
-		t.Errorf("unknown consistency level must fail Open")
 	}
 }
 
@@ -218,9 +195,9 @@ func TestReadSnapshotSurvivesGC(t *testing.T) {
 		t.Errorf("GCVersions collected nothing after 8 writes at 3 sites")
 	}
 	for _, lv := range []Level{LevelEventual, LevelSession, LevelBounded, LevelStrong} {
-		res, err := c.ReadLevel(2, lv, "z")
+		res, err := c.Read(2, []string{"z"}, ReadOptions{Level: lv})
 		if err != nil {
-			t.Fatalf("ReadLevel(%v) after GC: %v", lv, err)
+			t.Fatalf("Read(%v) after GC: %v", lv, err)
 		}
 		if got := res.Value("z").Num; got != 8 {
 			t.Errorf("level %v after GC: z = %d, want 8", lv, got)
@@ -333,14 +310,80 @@ func TestReadManyObjectsAllLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lv := range []Level{LevelEventual, LevelSession, LevelBounded, LevelStrong} {
-		res, err := c.ReadLevel(2, lv, objs...)
+		res, err := c.Read(2, objs, ReadOptions{Level: lv})
 		if err != nil {
-			t.Fatalf("ReadLevel(%v): %v", lv, err)
+			t.Fatalf("Read(%v): %v", lv, err)
 		}
 		for i, obj := range objs {
 			if got := res.Value(obj).Num; got != int64(i+1) {
 				t.Errorf("level %v: %s = %d, want %d", lv, obj, got, i+1)
 			}
 		}
+	}
+}
+
+// TestReadGateTimeoutMarked checks that a read whose gate gives up says
+// so.  Site 3 is cut off from origin 1, so an ORDUP update from site 2,
+// ordered after one of site 1's, waits at site 3 behind the gap.  A
+// strong read there times out on its drain gate: the result is marked
+// and esr_read_gate_timeouts_total counts it.
+func TestReadGateTimeoutMarked(t *testing.T) {
+	c := open(t, Config{Replicas: 3, Method: ORDUP, Seed: 32, MetricsAddr: "127.0.0.1:0"})
+	c.Partition([]int{1, 2}, []int{3})
+	if _, err := c.Update(1, Inc("x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	c.Partition([]int{2, 3}, []int{1})
+	if _, err := c.Update(2, Inc("x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	site := c.Engine().Cluster().Site(3)
+	deadline := time.Now().Add(5 * time.Second)
+	for site.Pending("x") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("site 3 never accepted site 2's update")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	res, err := c.Read(3, []string{"x"}, ReadOptions{Level: LevelStrong, WaitTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TimedOut {
+		t.Errorf("strong read past its gate timeout not marked TimedOut: %+v", res)
+	}
+	if got := c.Metrics().Counter("esr_read_gate_timeouts_total", "", "site", "level").With("3", "strong").Value(); got != 1 {
+		t.Errorf("esr_read_gate_timeouts_total{site=3,level=strong} = %d, want 1", got)
+	}
+	c.Heal()
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Read(3, []string{"x"}, ReadOptions{Level: LevelStrong}); err != nil || res.TimedOut || res.Value("x").Num != 2 {
+		t.Errorf("strong read after heal = %v (timed out %v, err %v), want 2", res.Value("x"), res.TimedOut, err)
+	}
+}
+
+// TestReadBoundedChargesInTransit checks that a bounded read prices with
+// the method's rule: under COMMU an update still in transit to the
+// reading site is a committed-but-invisible update ET, so the read
+// charges it against ε.
+func TestReadBoundedChargesInTransit(t *testing.T) {
+	c := open(t, Config{Replicas: 2, Method: COMMU, Seed: 33})
+	c.Partition([]int{1}, []int{2})
+	if _, err := c.Update(1, Inc("x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Read(2, []string{"x"}, ReadOptions{Level: LevelBounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Inconsistency != 1 || res.Value("x").Num != 0 {
+		t.Errorf("bounded read = {x=%d, inconsistency=%d}, want {x=0, inconsistency=1}",
+			res.Value("x").Num, res.Inconsistency)
+	}
+	c.Heal()
+	if err := c.Quiesce(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
